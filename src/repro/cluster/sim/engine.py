@@ -18,7 +18,7 @@ a resource.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
 #: The generator type simulation processes must have.
@@ -127,12 +127,18 @@ class SimResource:
             self._in_use -= 1
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A pending callback; set ``cancelled`` to skip it when it comes due.
+
+    The heap orders ``(time, seq, event)`` tuples, so comparison stays
+    in C: ``seq`` is unique and never lets a tie reach the event.
+    """
+
+    __slots__ = ("action", "cancelled")
+
+    def __init__(self, action: Callable[[], None]):
+        self.action = action
+        self.cancelled = False
 
 
 class Simulator:
@@ -146,7 +152,7 @@ class Simulator:
     """
 
     def __init__(self, meters=None) -> None:
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[tuple[float, int, _ScheduledEvent]] = []
         self._seq = 0
         self._now = 0.0
         self._processes_alive = 0
@@ -162,9 +168,9 @@ class Simulator:
         """Run *action* after *delay* simulated seconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = _ScheduledEvent(self._now + delay, self._seq, action)
+        event = _ScheduledEvent(action)
+        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def call_soon(self, action: Callable[[], None]) -> _ScheduledEvent:
@@ -223,17 +229,18 @@ class Simulator:
             Safety valve against runaway simulations.
         """
         processed = 0
-        while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+        heap = self._heap
+        while heap:
+            when, _seq, event = heap[0]
+            if until is not None and when > until:
                 self._now = until
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             if event.cancelled:
                 continue
-            if event.time < self._now - 1e-12:
+            if when < self._now - 1e-12:
                 raise RuntimeError("event heap corrupted: time went backwards")
-            self._now = event.time
+            self._now = when
             event.action()
             processed += 1
             if processed > max_events:
@@ -246,9 +253,9 @@ class Simulator:
 
     def peek(self) -> float | None:
         """Time of the next pending event (None when drained)."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 def transfer(resource: SimResource, seconds: float) -> Iterator[Effect]:

@@ -86,6 +86,15 @@ class NetworkModel:
         self.bytes_transferred = 0
         self.transfers = 0
         self.meters = meters
+        # Bound once: transmit runs on every simulated message.
+        if meters is not None:
+            self._m_transfers = meters.counter("net.transfers")
+            self._m_bytes = meters.counter("net.bytes")
+            self._h_transfer_bytes = meters.histogram(
+                "net.transfer.bytes", BYTES_BUCKETS
+            )
+            self._m_blob_fetches = meters.counter("net.blob.fetches")
+            self._m_blob_fetch_bytes = meters.counter("net.blob.fetch.bytes")
 
     def transfer_seconds(self, nbytes: int) -> float:
         return nbytes / self.config.bandwidth
@@ -107,9 +116,9 @@ class NetworkModel:
             self.bytes_transferred += nbytes
         self.transfers += 1
         if self.meters is not None:
-            self.meters.counter("net.transfers").inc()
-            self.meters.counter("net.bytes").inc(nbytes)
-            self.meters.histogram("net.transfer.bytes", BYTES_BUCKETS).observe(nbytes)
+            self._m_transfers.inc()
+            self._m_bytes.inc(nbytes)
+            self._h_transfer_bytes.observe(nbytes)
 
     def transmit_blob(self, nbytes: int) -> Iterator[Effect]:
         """Process fragment: a shared-blob download (donor cache miss).
@@ -118,8 +127,8 @@ class NetworkModel:
         ``net.blob.*`` so the dedup saving is directly observable.
         """
         if self.meters is not None:
-            self.meters.counter("net.blob.fetches").inc()
-            self.meters.counter("net.blob.fetch.bytes").inc(nbytes)
+            self._m_blob_fetches.inc()
+            self._m_blob_fetch_bytes.inc(nbytes)
         yield from self.transmit(nbytes)
 
     def control_roundtrip(self) -> Iterator[Effect]:

@@ -184,6 +184,11 @@ def restore_checkpoint(
         state.items_completed = snap.items_completed
         state.completed_units = set(snap.completed_units)
         state.requeue.extend(snap.requeued_units)
+        # The snapshot folds every cut-but-unfinished unit (queued or
+        # leased) into requeued_units once, so the cut count follows.
+        state.items_cut = snap.items_completed + sum(
+            unit.items for unit in snap.requeued_units
+        )
         state.voting = dict(snap.voting)
         server._problems[pid] = state
         if snap.failure_reason is not None:

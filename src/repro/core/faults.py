@@ -40,6 +40,9 @@ class LeaseTable:
         self.timeout = timeout
         # (problem_id, unit_id) -> donor_id -> Lease, insertion-ordered.
         self._leases: dict[tuple[int, int], dict[str, Lease]] = {}
+        # donor_id -> live leases it holds; donors holding none are
+        # absent, so the busy-donor count is the dict's length.
+        self._per_donor: dict[str, int] = {}
 
     def __len__(self) -> int:
         return sum(len(holders) for holders in self._leases.values())
@@ -51,7 +54,20 @@ class LeaseTable:
             raise ValueError(f"unit {key} already leased to {donor_id!r}")
         lease = Lease(unit, donor_id, now, now + self.timeout)
         holders[donor_id] = lease
+        self._per_donor[donor_id] = self._per_donor.get(donor_id, 0) + 1
         return lease
+
+    def _forget(self, donor_id: str) -> None:
+        """Count one of *donor_id*'s leases as gone."""
+        left = self._per_donor[donor_id] - 1
+        if left:
+            self._per_donor[donor_id] = left
+        else:
+            del self._per_donor[donor_id]
+
+    def busy_donors(self) -> int:
+        """How many donors hold at least one live lease (O(1))."""
+        return len(self._per_donor)
 
     def holder(self, problem_id: int, unit_id: int) -> str | None:
         """The earliest-issued live holder (None when unleased)."""
@@ -86,8 +102,12 @@ class LeaseTable:
             return None
         if donor_id is None:
             del self._leases[key]
+            for holder in holders:
+                self._forget(holder)
             return next(iter(holders.values()))
         lease = holders.pop(donor_id, None)
+        if lease is not None:
+            self._forget(donor_id)
         if not holders:
             del self._leases[key]
         return lease
@@ -126,6 +146,7 @@ class LeaseTable:
             for donor_id in list(holders):
                 if holders[donor_id].deadline <= now:
                     dead.append(holders.pop(donor_id))
+                    self._forget(donor_id)
             if not holders:
                 del self._leases[key]
         return dead
@@ -133,6 +154,9 @@ class LeaseTable:
     def revoke_donor(self, donor_id: str) -> list[Lease]:
         """Remove and return every lease held by *donor_id* (it left)."""
         dead: list[Lease] = []
+        if donor_id not in self._per_donor:
+            return dead
+        del self._per_donor[donor_id]
         for key in list(self._leases):
             holders = self._leases[key]
             lease = holders.pop(donor_id, None)

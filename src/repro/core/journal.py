@@ -419,6 +419,7 @@ def _apply(server: TaskFarmServer, record: dict) -> None:
             )
         unit = WorkUnit.from_payload(record["pid"], state.next_unit_id, payload)
         state.next_unit_id += 1
+        state.items_cut += payload.items
         # Never re-granted during replay: every unfolded unit parks on
         # the requeue and is reissued by normal scheduling afterwards.
         state.requeue.append(unit)

@@ -146,6 +146,7 @@ class _ProblemState:
         "units_issued",
         "units_completed",
         "items_completed",
+        "items_cut",
         "completed_units",
     )
 
@@ -165,6 +166,9 @@ class _ProblemState:
         self.units_issued = 0
         self.units_completed = 0
         self.items_completed = 0
+        # Items already cut into units (completed, in flight or queued):
+        # bumped at every fresh cut, so the uncut remainder is O(1).
+        self.items_cut = 0
         self.completed_units: set[int] = set()
 
 
@@ -279,9 +283,7 @@ class TaskFarmServer:
 
     def _sync_donor_gauges(self) -> None:
         self._g_donors.set(len(self._donors))
-        self._g_donors_busy.set(
-            sum(1 for d in self._donors.values() if d.active_units)
-        )
+        self._g_donors_busy.set(self.leases.busy_donors())
 
     # ------------------------------------------------------------------
     # problem lifecycle
@@ -608,7 +610,7 @@ class TaskFarmServer:
         if donor is not None:
             donor.end_unit(result.problem_id, result.unit_id)
             donor.last_seen = now
-            self._sync_donor_gauges()
+        self._sync_donor_gauges()
 
     def _eligible(self, state: _ProblemState, unit_id: int, donor_id: str) -> bool:
         """May *donor_id* be issued (a copy of) this unit?
@@ -652,30 +654,17 @@ class TaskFarmServer:
             state.problem.problem_id, state.next_unit_id, payload
         )
         state.next_unit_id += 1
+        state.items_cut += payload.items
         return unit
 
     def _remaining_items(self, state: _ProblemState) -> int | None:
-        """Estimate of items not yet cut into units (None when the
-        DataManager cannot count them).  Completed, in-flight, and
-        queued units are all already cut; the policy's tail taper uses
-        the estimate to shrink units as a problem drains."""
+        """Items not yet cut into units (None when the DataManager
+        cannot count them); the policy's tail taper uses it to shrink
+        units as a problem drains."""
         total = state.problem.data_manager.total_items()
         if not total:
             return None
-        pid = state.problem.problem_id
-        cut = state.items_completed
-        seen: set[int] = set(state.completed_units)
-        for lease in self.leases.outstanding(pid):
-            uid = lease.unit.unit_id
-            if uid not in seen:
-                seen.add(uid)
-                cut += lease.unit.items
-        for queue in (state.requeue, state.replicas):
-            for unit in queue:
-                if unit.unit_id not in seen:
-                    seen.add(unit.unit_id)
-                    cut += unit.items
-        return max(0, total - cut)
+        return max(0, total - state.items_cut)
 
     def submit_result(self, result: WorkResult, now: float) -> bool:
         """Apply a donor's result; returns False for duplicates/stale.
@@ -781,6 +770,7 @@ class TaskFarmServer:
                 donor_id=result.donor_id,
             )
             self._m_units_duplicate.inc()
+            self._sync_donor_gauges()
             return False
         digest = canonical_digest(result.value)
         self._journal("unit.vote", now, result=result)
@@ -997,6 +987,7 @@ class TaskFarmServer:
         if donor is not None:
             donor.end_unit(problem_id, unit_id)
             donor.last_seen = now
+        self._sync_donor_gauges()
         if state is None or state.status is not ProblemStatus.RUNNING:
             return
         if unit_id in state.completed_units or lease is None:
@@ -1012,7 +1003,6 @@ class TaskFarmServer:
             error=error[:500],
         )
         self._m_units_failed.inc()
-        self._sync_donor_gauges()
         if self.integrity.active:
             self._journal("rep", now, donor=donor_id, field="failures")
             self.reputation.record(donor_id).failures += 1
@@ -1044,6 +1034,7 @@ class TaskFarmServer:
         self._failures[state.problem.problem_id] = reason
         for lease in self.leases.outstanding(state.problem.problem_id):
             self.leases.release(lease.unit.problem_id, lease.unit.unit_id)
+        self._sync_donor_gauges()
         self._close_unit_spans(state.problem.problem_id, now, "cancelled")
         state.requeue.clear()
         state.replicas.clear()
@@ -1240,6 +1231,7 @@ class TaskFarmServer:
         # Cancel anything still in flight for this problem.
         for lease in self.leases.outstanding(state.problem.problem_id):
             self.leases.release(lease.unit.problem_id, lease.unit.unit_id)
+        self._sync_donor_gauges()
         self._close_unit_spans(state.problem.problem_id, now, "cancelled")
         state.requeue.clear()
         state.replicas.clear()

@@ -1,10 +1,14 @@
-"""Shared test fixtures: simple DataManagers/Algorithms and a manual clock."""
+"""Shared test fixtures: simple DataManagers/Algorithms, a manual clock,
+and reference scans that cross-check the server's O(1) counters."""
 
 from __future__ import annotations
 
-from typing import Any
+import contextlib
+import functools
+from typing import Any, Iterator
 
 from repro.core.problem import Algorithm, DataManager
+from repro.core.server import ProblemStatus, TaskFarmServer
 from repro.core.workunit import UnitPayload, WorkResult
 
 
@@ -146,3 +150,102 @@ class StagedAlgorithm(Algorithm):
             return ("square", (arg, arg * arg))
         a, b = arg
         return ("addpair", a + b)
+
+
+# ----------------------------------------------------------------------
+# reference scans for the server's per-request counters
+# ----------------------------------------------------------------------
+
+
+def reference_remaining_items(server: TaskFarmServer, state) -> int | None:
+    """Items of *state*'s problem not yet cut, recomputed from scratch.
+
+    This is the O(history) scan the server once ran on every request:
+    completed items, plus every distinct unit still leased or queued.
+    The server now answers ``total - items_cut`` instead.
+    """
+    total = state.problem.data_manager.total_items()
+    if not total:
+        return None
+    pid = state.problem.problem_id
+    cut = state.items_completed
+    seen: set[int] = set(state.completed_units)
+    for lease in server.leases.outstanding(pid):
+        uid = lease.unit.unit_id
+        if uid not in seen:
+            seen.add(uid)
+            cut += lease.unit.items
+    for queue in (state.requeue, state.replicas):
+        for unit in queue:
+            if unit.unit_id not in seen:
+                seen.add(unit.unit_id)
+                cut += unit.items
+    return max(0, total - cut)
+
+
+def reference_busy_donors(server: TaskFarmServer) -> int:
+    """Donors holding at least one live lease, counted from scratch."""
+    return len({lease.donor_id for lease in server.leases.outstanding()})
+
+
+def assert_control_plane_counters(server: TaskFarmServer) -> None:
+    """The O(1) counters equal their from-scratch reference scans."""
+    for pid, state in server._problems.items():
+        if state.status is not ProblemStatus.RUNNING:
+            continue
+        counted = server._remaining_items(state)
+        scanned = reference_remaining_items(server, state)
+        assert counted == scanned, (
+            f"problem {pid}: remaining items {counted} by counter, "
+            f"{scanned} by scan"
+        )
+    busy = server.obs.meters.gauge("farm.donors.busy").value
+    assert busy == reference_busy_donors(server), (
+        f"farm.donors.busy reads {busy}, "
+        f"{reference_busy_donors(server)} donors hold a live lease"
+    )
+
+
+#: Public server calls that can move either counter.
+_MUTATORS = (
+    "submit",
+    "register_donor",
+    "deregister_donor",
+    "request_work",
+    "submit_result",
+    "report_failure",
+    "cancel_problem",
+    "expire_leases",
+)
+
+
+@contextlib.contextmanager
+def control_plane_checks() -> Iterator[None]:
+    """Check :func:`assert_control_plane_counters` after every public
+    server call, and after every simulated server restart (checkpoint
+    restore or journal recovery), while the block runs."""
+    from repro.cluster.sim.cluster import SimCluster
+
+    def then_check(original, check):
+        @functools.wraps(original)
+        def call(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            check(self)
+            return result
+
+        return call
+
+    checks = {
+        (TaskFarmServer, name): assert_control_plane_counters for name in _MUTATORS
+    }
+    checks[(SimCluster, "_restart_server")] = (
+        lambda cluster: assert_control_plane_counters(cluster.server)
+    )
+    originals = {key: getattr(*key) for key in checks}
+    try:
+        for (cls, name), check in checks.items():
+            setattr(cls, name, then_check(originals[cls, name], check))
+        yield
+    finally:
+        for (cls, name), original in originals.items():
+            setattr(cls, name, original)

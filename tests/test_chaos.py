@@ -32,6 +32,7 @@ from repro.rmi.reconnect import ReconnectingPort
 from repro.rmi.transport import FrameSocket, TransportServer, dial
 from repro.obs.meters import MeterRegistry
 from repro.util.rng import spawn_rng
+from tests.helpers import control_plane_checks
 
 #: The chaos-smoke seed set.  CI adds one rolling seed from the run
 #: number (see .github/workflows/ci.yml) so the schedule space keeps
@@ -137,6 +138,24 @@ class TestChaosProperty:
         assert canonical_digest(report.results[pid]) == baseline_digest, (
             f"chaos seed {seed}: assembled result diverged from fault-free run"
         )
+
+    def test_items_cut_restored_after_restart_chaos_seed_11(
+        self, dsearch_factory, dsearch_baseline
+    ):
+        """Regression: the remaining-items counter must be rebuilt on
+        recovery.  Seed 11 restarts the server with 12 of 16 items cut;
+        a counter left at 0 would size the next units for an uncut
+        problem and diverge from the reference scan."""
+        baseline_digest, restart_at = dsearch_baseline
+        with control_plane_checks():
+            _cluster, pid, report = run_sim(
+                dsearch_factory,
+                chaos=chaos_plan(11, restart_at),
+                integrity=IntegrityPolicy(replication=2),
+            )
+        assert report.completed
+        assert report.log.of_kind("server.recovered")
+        assert canonical_digest(report.results[pid]) == baseline_digest
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_dprml_survives_chaos(self, seed, dprml_factory, dprml_baseline):
@@ -295,7 +314,14 @@ class TestRecoveryDrills:
     is dropped and a fresh one rebuilds itself from checkpoint bytes +
     journal replay (plus an optional torn tail chopped off first).  The
     assembled results must match the fault-free baselines exactly.
+    Every server call and every restart also re-checks the O(1)
+    remaining-items and busy-donor counters against their scans.
     """
+
+    @pytest.fixture(autouse=True)
+    def _checked_counters(self):
+        with control_plane_checks():
+            yield
 
     @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
     def test_dsearch_journal_recovery_differential(
@@ -408,6 +434,11 @@ class TestGatewayRecoveryDrills:
     cancelled jobs; journal replay must restore the job queue and the
     per-tenant accounting exactly, and every surviving job's result
     must match the fault-free single-problem baseline bit-for-bit."""
+
+    @pytest.fixture(autouse=True)
+    def _checked_counters(self):
+        with control_plane_checks():
+            yield
 
     def _check(self, cluster, pids, report, baseline_digest, seed):
         assert report.completed, f"seed {seed}: run did not finish"

@@ -12,7 +12,11 @@ from repro.core.problem import Problem
 from repro.core.scheduler import FixedGranularity
 from repro.core.server import ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    assert_control_plane_counters,
+)
 
 
 def make_server():
@@ -46,6 +50,9 @@ class TestCheckpointRoundtrip:
         fresh = TaskFarmServer(policy=FixedGranularity(10), lease_timeout=100.0)
         restored = load_checkpoint(path, fresh, now=5.0)
         assert restored == [pid]
+        # 40 items folded + 10 in flight were cut before the save.
+        assert fresh._remaining_items(fresh._problems[pid]) == 50
+        assert_control_plane_counters(fresh)
         assert fresh.status(pid) is ProblemStatus.RUNNING
 
         fresh.register_donor("d1", 6.0)
@@ -68,6 +75,7 @@ class TestCheckpointRoundtrip:
 
         fresh = make_server()
         load_checkpoint(path, fresh, now=3.0)
+        assert_control_plane_counters(fresh)
         fresh.register_donor("d1", 4.0)
         b = fresh.request_work("d1", 5.0)
         assert b is not None and b.unit_id == a.unit_id
@@ -153,6 +161,7 @@ class TestCheckpointUnderIntegrity:
 
         fresh = make_integrity_server()
         assert load_checkpoint(path, fresh, now=t + 1.0) == [pid]
+        assert_control_plane_counters(fresh)
 
         # The quarantine survived the restart: the liar gets no work.
         assert "liar" in fresh.reputation.quarantined_ids()

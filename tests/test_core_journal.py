@@ -41,6 +41,7 @@ from tests.helpers import (
     RangeSumDataManager,
     StagedAlgorithm,
     StagedDataManager,
+    assert_control_plane_counters,
 )
 
 
@@ -563,6 +564,7 @@ class TestPrefixTruncationProperty:
 
         fresh = make_server(unit_items=7)
         recover(fresh, chopped, now=5000.0)
+        assert_control_plane_counters(fresh)
 
         if pid not in fresh._problems:
             # The chop consumed the submission itself: an empty but
@@ -580,6 +582,7 @@ class TestPrefixTruncationProperty:
         raw = dumps_checkpoint(fresh, 5001.0, journal_lsn=fresh.journal.last_lsn)
         reloaded = make_server(unit_items=7)
         assert loads_checkpoint(raw, reloaded, now=5002.0) == [pid]
+        assert_control_plane_counters(reloaded)
         # Drivable: both servers still reach the correct total.
         for server in (fresh, reloaded):
             if server.status(pid) is ProblemStatus.RUNNING:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.problem import Problem
 from repro.core.scheduler import FixedGranularity
-from repro.core.server import ProblemStatus, TaskFarmServer
+from repro.core.server import PipelineConfig, ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
 from tests.helpers import (
     RangeSumAlgorithm,
@@ -195,6 +195,29 @@ class TestDonorChurn:
     def test_deregister_unknown_donor_is_noop(self):
         server = make_server()
         server.deregister_donor("never-registered", 0.0)
+
+
+class TestBusyDonorGauge:
+    def test_busy_gauge_clears_when_speculative_copy_is_cancelled(self):
+        """Regression: folding a unit releases every holder's lease, so
+        the donor still computing the speculative copy is no longer
+        busy — the gauge used to keep counting it."""
+        server = TaskFarmServer(
+            policy=FixedGranularity(1),
+            pipeline=PipelineConfig(tail_reissue=True),
+        )
+        pid = server.submit(sum_problem(1), 0.0)
+        server.register_donor("a", 0.0)
+        server.register_donor("b", 0.0)
+        a = server.request_work("a", 1.0)
+        b = server.request_work("b", 2.0)
+        assert b is not None and b.unit_id == a.unit_id  # speculative copy
+        busy = server.obs.meters.gauge("farm.donors.busy")
+        assert busy.value == 2
+        assert server.submit_result(compute(a), 3.0)
+        assert server.status(pid) is ProblemStatus.COMPLETE
+        assert len(server.leases) == 0
+        assert busy.value == 0
 
 
 class TestMultiProblem:

@@ -23,7 +23,19 @@ from repro.core.scheduler import FixedGranularity
 from repro.core.server import ProblemStatus, TaskFarmServer
 from repro.core.status import snapshot_dict
 from repro.core.workunit import WorkResult
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    control_plane_checks,
+)
+
+
+@pytest.fixture(autouse=True)
+def _checked_counters():
+    """Every server call in this module re-checks the O(1) remaining-
+    items and busy-donor counters against their reference scans."""
+    with control_plane_checks():
+        yield
 
 
 def make_server(**kwargs) -> TaskFarmServer:

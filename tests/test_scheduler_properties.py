@@ -21,7 +21,11 @@ from repro.core.problem import Problem
 from repro.core.scheduler import AdaptiveGranularity, DonorState
 from repro.core.server import TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    assert_control_plane_counters,
+)
 
 #: (items, seconds) observation pairs a donor might report.
 observations = st.lists(
@@ -127,6 +131,7 @@ class TestNeverExceedsRemainingWork:
         while not server.all_complete():
             assignment = server.request_work("d0", now)
             assert assignment is not None, "work remains but none was issued"
+            assert_control_plane_counters(server)
             lo, hi = assignment.payload
             assert 0 <= lo < hi <= n
             assert assignment.items == hi - lo
@@ -145,5 +150,6 @@ class TestNeverExceedsRemainingWork:
                 ),
                 now,
             )
+            assert_control_plane_counters(server)
         assert issued_items == n
         assert server.final_result(pid) == n * (n - 1) // 2

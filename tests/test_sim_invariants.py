@@ -17,6 +17,7 @@ from repro.cluster.sim import MachineSpec, SimCluster
 from repro.cluster.sim.machines import with_churn
 from repro.cluster.sim.trace import WorkloadTrace, trace_problem
 from repro.core.scheduler import AdaptiveGranularity, FixedGranularity
+from tests.helpers import control_plane_checks
 
 
 @st.composite
@@ -74,8 +75,11 @@ def test_farm_conservation_laws(pool, stage_costs, policy, seed):
     cluster = SimCluster(
         pool, policy=policy, lease_timeout=300.0, seed=seed, execute=False
     )
-    pid = cluster.submit(trace_problem(trace))
-    report = cluster.run(until=5e6)
+    # After every server call: remaining items and farm.donors.busy
+    # equal their from-scratch scans.
+    with control_plane_checks():
+        pid = cluster.submit(trace_problem(trace))
+        report = cluster.run(until=5e6)
 
     log = report.log
     issued = log.of_kind("unit.issued")
@@ -124,7 +128,10 @@ def test_determinism_across_replays(seed):
             seed=seed,
             execute=False,
         )
-        pid = cluster.submit(trace_problem(WorkloadTrace.single_stage([3.0] * 50)))
-        return cluster.run().makespans[pid]
+        with control_plane_checks():
+            pid = cluster.submit(
+                trace_problem(WorkloadTrace.single_stage([3.0] * 50))
+            )
+            return cluster.run().makespans[pid]
 
     assert run() == run()
