@@ -99,11 +99,14 @@ class SimCluster:
         mirroring the live :class:`~repro.core.client.DonorClient`.
     pipeline:
         When set, the embedded server runs this
-        :class:`~repro.core.server.PipelineConfig` and every machine
-        uses the pipelined donor protocol: while unit N computes, a
-        forked process downloads unit N+1, so the simulator reproduces
-        the live prefetch runtime's download/compute overlap.  ``None``
-        (the default) keeps the historical serial protocol.
+        :class:`~repro.core.server.PipelineConfig` and every donor lane
+        prefetches: while unit N computes, a forked process downloads
+        unit N+1, so the simulator reproduces the live prefetch
+        runtime's download/compute overlap.  ``None`` (the default)
+        keeps the serial protocol.  Every machine runs the same lane
+        loop either way — serial is one lane that never prefetches,
+        pipelined one lane that does, and a ``cores > 1`` machine runs
+        one lane per core.
     """
 
     def __init__(
@@ -403,77 +406,34 @@ class SimCluster:
     def _spawn_session(
         self, spec: MachineSpec, session_end: float, session_index: int
     ) -> Process:
-        """The donor protocol for one session: serial, pipelined, or
-        (for ``cores > 1``) a pool of parallel lanes."""
-        if spec.cores > 1:
-            return self._machine_process_multicore(spec, session_end, session_index)
-        if self.pipeline is not None:
-            return self._machine_process_pipelined(spec, session_end, session_index)
-        return self._machine_process(spec, session_end, session_index)
+        """One donor session: register, run the lanes, deregister.
 
-    def _machine_process(
-        self, spec: MachineSpec, session_end: float, session_index: int
-    ) -> Process:
-        """One donor session: register, pull work until done or gone.
-
+        The machine registers *once*, advertising ``slots=cores``; each
+        core is a lane (:meth:`_lane_process`) pulling, downloading and
+        computing units on its own, with downloads serialized through
+        the shared link like lanes sharing one NIC.  A one-core
+        machine's lane runs inline, so it adds no process to the heap.
         ``self.server`` is read dynamically throughout — a chaos
         restart swaps the server object out from under running donors,
         exactly as a live restart does.
         """
         sim = self.sim
-        rng = spawn_rng(self.seed, "machine", spec.machine_id, session_index)
-        chaos_rng = (
-            self.chaos.rng_for(spec.machine_id, session_index)
-            if self.chaos is not None
-            else None
-        )
         donor_id = spec.machine_id
-
-        self.server.register_donor(donor_id, sim.now)
+        self.server.register_donor(donor_id, sim.now, slots=spec.cores)
         self._active_session[donor_id] = session_index
         try:
-            while True:
-                if sim.now >= session_end or self._all_done():
-                    return
-                # Control round trip: ask the server for work.
-                yield from self.network.control_roundtrip()
-                if sim.now >= session_end:
-                    return
-                try:
-                    assignment = self.server.request_work(donor_id, sim.now)
-                except KeyError:
-                    # A restarted server forgot us: re-register and
-                    # retry, as the live ReconnectingPort's
-                    # on_reconnect hook does.
-                    self.server.register_donor(donor_id, sim.now)
-                    self._active_session[donor_id] = session_index
-                    continue
-                if assignment is None:
-                    if self._all_done():
-                        return
-                    yield Timeout(self.idle_poll)
-                    continue
-                finished = yield from self._execute_assignment(
-                    spec, donor_id, assignment, rng, chaos_rng, session_end
+            if spec.cores == 1:
+                yield from self._lane_process(spec, session_end, session_index)
+                return
+            lane_done: list[SimEvent] = []
+            for lane in range(spec.cores):
+                event = SimEvent(sim)
+                lane_done.append(event)
+                sim.spawn(
+                    self._lane_process(spec, session_end, session_index, lane, event)
                 )
-                if not finished:
-                    return  # left the pool mid-compute
-                if (
-                    self.chaos is not None
-                    and chaos_rng.random() < self.chaos.crash_rate
-                ):
-                    # Hard crash: no deregistration (the lease must
-                    # expire on its own), back after the downtime as a
-                    # fresh session.
-                    self._chaos_sessions += 1
-                    self.sim.spawn(
-                        self._spawn_session(
-                            spec, session_end, self._chaos_sessions
-                        ),
-                        delay=self.chaos.crash_downtime,
-                    )
-                    self._active_session.pop(donor_id, None)
-                    return
+            for event in lane_done:
+                yield WaitEvent(event)
         finally:
             # Leaving (or completing) deregisters; the server requeues
             # anything this donor still held.  Guard against a later
@@ -530,23 +490,6 @@ class SimCluster:
             return assignment.payload
         return resolve_payload(assignment.payload, lambda ref: objects[ref.key])
 
-    def _execute_assignment(
-        self,
-        spec: MachineSpec,
-        donor_id: str,
-        assignment: Assignment,
-        rng,
-        chaos_rng,
-        session_end: float,
-    ) -> Process:
-        """Download, compute, upload.  Returns False if the machine's
-        session ended mid-compute (the unit is abandoned)."""
-        payload = yield from self._download_unit(donor_id, assignment)
-        finished = yield from self._compute_and_upload(
-            spec, donor_id, assignment, payload, rng, chaos_rng, session_end
-        )
-        return finished
-
     def _compute_and_upload(
         self,
         spec: MachineSpec,
@@ -558,11 +501,7 @@ class SimCluster:
         session_end: float,
     ) -> Process:
         """Compute an already-downloaded unit and upload the result.
-        Returns False if the session ended mid-compute (unit abandoned).
-
-        Split out of :meth:`_execute_assignment` so the pipelined
-        protocol can run it on a payload a forked prefetch process
-        downloaded earlier."""
+        Returns False if the session ended mid-compute (unit abandoned)."""
         sim = self.sim
         algorithm = self.server.get_algorithm(assignment.problem_id)
         cost = assignment.cost_hint or algorithm.cost(payload)
@@ -653,92 +592,113 @@ class SimCluster:
         self._machine_units[donor_id] += 1
         return True
 
-    # -- the pipelined donor protocol -----------------------------------
+    # -- the lane loop ---------------------------------------------------
+
+    def _session_over(
+        self, donor_id: str, session_index: int, session_end: float
+    ) -> bool:
+        """The owner reclaimed the machine, or the session is no longer
+        the machine's current one (it crashed or was replaced)."""
+        return (
+            self.sim.now >= session_end
+            or self._active_session.get(donor_id) != session_index
+        )
 
     def _fetch_assignment(
-        self, donor_id: str, session_index: int, slots: int = 1
+        self, spec: MachineSpec, session_end: float, session_index: int
     ) -> Process:
         """Control round trip + request + download, as one step.
 
         Returns ``(assignment, payload)``; ``(None, None)`` when the
-        server was idle or forgot us (a chaos restart — we re-register
-        and let the caller retry).
+        server was idle or the session ended during the round trip.  A
+        restarted server that forgot us is re-registered and asked
+        again at once, as the live ReconnectingPort's on_reconnect hook
+        does.
         """
         sim = self.sim
-        yield from self.network.control_roundtrip()
-        try:
-            assignment = self.server.request_work(donor_id, sim.now)
-        except KeyError:
-            self.server.register_donor(donor_id, sim.now, slots=slots)
-            self._active_session[donor_id] = session_index
-            return None, None
-        if assignment is None:
-            return None, None
-        payload = yield from self._download_unit(donor_id, assignment)
-        return assignment, payload
+        donor_id = spec.machine_id
+        while True:
+            yield from self.network.control_roundtrip()
+            if self._session_over(donor_id, session_index, session_end):
+                return None, None
+            try:
+                assignment = self.server.request_work(donor_id, sim.now)
+            except KeyError:
+                self.server.register_donor(donor_id, sim.now, slots=spec.cores)
+                self._active_session[donor_id] = session_index
+                if self._all_done():
+                    return None, None
+                continue
+            if assignment is None:
+                return None, None
+            payload = yield from self._download_unit(donor_id, assignment)
+            return assignment, payload
 
     def _prefetch_process(
         self,
-        donor_id: str,
+        spec: MachineSpec,
+        session_end: float,
         session_index: int,
         box: list,
         event: SimEvent,
     ) -> Process:
-        """Forked download of the *next* unit, overlapping compute.
+        """Forked fetch of the *next* unit, overlapping compute.
 
         Fills ``box[0]`` with ``(assignment, payload)`` and fires
-        *event* when done.  Aborts (leaving ``(None, None)``) when the
-        session is no longer current — a dead donor's prefetch must not
-        resurrect its registration — or when the server has no work.  A
-        restarted server (KeyError) is also left for the main loop's
-        synchronous path to re-register.
+        *event* when done.  A session that is no longer current fetches
+        nothing: a dead donor's prefetch must not resurrect its
+        registration.
         """
         try:
-            if self._active_session.get(donor_id) != session_index:
-                return
-            yield from self.network.control_roundtrip()
-            if self._active_session.get(donor_id) != session_index:
-                return
-            try:
-                assignment = self.server.request_work(donor_id, self.sim.now)
-            except KeyError:
-                return
-            if assignment is None:
-                return
-            payload = yield from self._download_unit(donor_id, assignment)
-            box[0] = (assignment, payload)
+            if self._active_session.get(spec.machine_id) == session_index:
+                box[0] = yield from self._fetch_assignment(
+                    spec, session_end, session_index
+                )
         finally:
             event.fire()
 
-    def _machine_process_pipelined(
-        self, spec: MachineSpec, session_end: float, session_index: int
+    def _lane_process(
+        self,
+        spec: MachineSpec,
+        session_end: float,
+        session_index: int,
+        lane: int | None = None,
+        done_event: SimEvent | None = None,
     ) -> Process:
-        """One donor session under the pipelined protocol.
+        """One compute lane (core) of a donor session: the donor loop.
 
-        Identical to :meth:`_machine_process` except that while unit N
-        computes, a forked :meth:`_prefetch_process` downloads unit
-        N+1; joining an already-fired prefetch is a *hit* (compute
-        never stalled), otherwise the wait is metered as donor idle
-        gap.  Leases a consumed-too-late session leaves behind are
-        requeued by deregistration or lease expiry, exactly as for the
-        serial protocol.
+        Serial is one lane fetching synchronously; pipelined is one
+        lane that, while unit N computes, forks a
+        :meth:`_prefetch_process` for unit N+1 — joining an
+        already-fired prefetch is a *hit* (compute never stalled),
+        otherwise the wait is metered as donor idle gap; multi-core is
+        one lane per core against the *shared* registration, whose
+        depth gate the server already scaled by ``slots``
+        (:meth:`~repro.core.server.PipelineConfig.depth_for`).  Leases a
+        finished session leaves behind are requeued by deregistration
+        or lease expiry.  A lane observing that its session is no
+        longer current exits quietly without touching the
+        registration.
+
+        Lanes of a multi-core machine key their random streams by
+        ``lane``; a one-core machine's single lane (``lane=None``) keeps
+        the machine's own streams.
         """
         sim = self.sim
         meters = self.obs.meters
-        rng = spawn_rng(self.seed, "machine", spec.machine_id, session_index)
-        chaos_rng = (
-            self.chaos.rng_for(spec.machine_id, session_index)
-            if self.chaos is not None
-            else None
-        )
         donor_id = spec.machine_id
-
-        self.server.register_donor(donor_id, sim.now)
-        self._active_session[donor_id] = session_index
+        key = (donor_id, session_index)
+        if lane is not None:
+            key += ("lane", lane)
+        rng = spawn_rng(self.seed, "machine", *key)
+        chaos_rng = self.chaos.rng_for(*key) if self.chaos is not None else None
+        pipelined = self.pipeline is not None
         slot: tuple[list, SimEvent] | None = None
         try:
             while True:
-                if sim.now >= session_end or self._all_done():
+                if self._session_over(
+                    donor_id, session_index, session_end
+                ) or self._all_done():
                     return
                 if slot is not None:
                     box, event = slot
@@ -757,148 +717,26 @@ class SimCluster:
                     assignment, payload = box[0]
                 else:
                     # Cold start / post-idle: synchronous fetch.
-                    meters.counter("farm.pipeline.prefetch.misses").inc()
-                    assignment, payload = yield from self._fetch_assignment(
-                        donor_id, session_index
-                    )
-                if assignment is None:
-                    if self._all_done():
-                        return
-                    yield Timeout(self.idle_poll)
-                    continue
-                # Fork the download of the next unit, then compute this
-                # one — the overlap the whole pipeline exists for.
-                box = [(None, None)]
-                event = SimEvent(sim)
-                sim.spawn(
-                    self._prefetch_process(donor_id, session_index, box, event)
-                )
-                slot = (box, event)
-                finished = yield from self._compute_and_upload(
-                    spec, donor_id, assignment, payload, rng, chaos_rng, session_end
-                )
-                if not finished:
-                    return  # left the pool mid-compute
-                if (
-                    self.chaos is not None
-                    and chaos_rng.random() < self.chaos.crash_rate
-                ):
-                    self._chaos_sessions += 1
-                    self.sim.spawn(
-                        self._spawn_session(
-                            spec, session_end, self._chaos_sessions
-                        ),
-                        delay=self.chaos.crash_downtime,
-                    )
-                    self._active_session.pop(donor_id, None)
-                    return
-        finally:
-            if self._active_session.get(donor_id) == session_index:
-                self.server.deregister_donor(donor_id, sim.now)
-                del self._active_session[donor_id]
-
-    # -- the multi-core donor protocol -----------------------------------
-
-    def _machine_process_multicore(
-        self, spec: MachineSpec, session_end: float, session_index: int
-    ) -> Process:
-        """One session of a ``cores > 1`` machine: parallel lanes.
-
-        The virtual-time mirror of the live worker pool: the machine
-        registers *once*, advertising ``slots=cores``, then runs one
-        lane process per core, each independently pulling, downloading
-        and computing units (downloads still serialize through the
-        shared link, like lanes sharing one NIC).  The session
-        deregisters when its last lane returns; a chaos crash in any
-        lane takes the whole machine down, exactly as a host crash
-        kills every pool worker at once.
-        """
-        sim = self.sim
-        donor_id = spec.machine_id
-        self.server.register_donor(donor_id, sim.now, slots=spec.cores)
-        self._active_session[donor_id] = session_index
-        lane_done: list[SimEvent] = []
-        for lane in range(spec.cores):
-            event = SimEvent(sim)
-            lane_done.append(event)
-            sim.spawn(
-                self._lane_process(spec, session_end, session_index, lane, event)
-            )
-        for event in lane_done:
-            yield WaitEvent(event)
-        if self._active_session.get(donor_id) == session_index:
-            self.server.deregister_donor(donor_id, sim.now)
-            del self._active_session[donor_id]
-
-    def _lane_process(
-        self,
-        spec: MachineSpec,
-        session_end: float,
-        session_index: int,
-        lane: int,
-        done_event: SimEvent,
-    ) -> Process:
-        """One compute lane (core) of a multi-core donor session.
-
-        Runs the serial pull protocol — or, when the cluster is
-        pipelined, the double-buffered one — against the *shared*
-        donor registration.  Every lane's leases count against the one
-        donor, whose depth gate the server already scaled by ``slots``
-        (:meth:`~repro.core.server.PipelineConfig.depth_for`).  A lane
-        observing that its session is no longer current (crash or
-        replacement) exits quietly without touching the registration.
-        """
-        sim = self.sim
-        meters = self.obs.meters
-        donor_id = spec.machine_id
-        rng = spawn_rng(
-            self.seed, "machine", spec.machine_id, session_index, "lane", lane
-        )
-        chaos_rng = (
-            self.chaos.rng_for(spec.machine_id, session_index, "lane", lane)
-            if self.chaos is not None
-            else None
-        )
-        pipelined = self.pipeline is not None
-        slot: tuple[list, SimEvent] | None = None
-        try:
-            while True:
-                if sim.now >= session_end or self._all_done():
-                    return
-                if self._active_session.get(donor_id) != session_index:
-                    return  # machine crashed or was replaced
-                if slot is not None:
-                    box, event = slot
-                    slot = None
-                    if event.fired:
-                        meters.counter("farm.pipeline.prefetch.hits").inc()
-                    else:
-                        start = sim.now
-                        yield WaitEvent(event)
-                        gap = sim.now - start
-                        meters.counter("farm.pipeline.prefetch.misses").inc()
-                        if gap > 0:
-                            meters.counter(
-                                "farm.pipeline.idle.gap.seconds"
-                            ).inc(gap)
-                    assignment, payload = box[0]
-                else:
                     if pipelined:
                         meters.counter("farm.pipeline.prefetch.misses").inc()
                     assignment, payload = yield from self._fetch_assignment(
-                        donor_id, session_index, slots=spec.cores
+                        spec, session_end, session_index
                     )
                 if assignment is None:
-                    if self._all_done():
+                    if self._session_over(
+                        donor_id, session_index, session_end
+                    ) or self._all_done():
                         return
                     yield Timeout(self.idle_poll)
                     continue
                 if pipelined:
+                    # Fork the fetch of the next unit, then compute this
+                    # one — the overlap the whole pipeline exists for.
                     box = [(None, None)]
                     event = SimEvent(sim)
                     sim.spawn(
                         self._prefetch_process(
-                            donor_id, session_index, box, event
+                            spec, session_end, session_index, box, event
                         )
                     )
                     slot = (box, event)
@@ -912,9 +750,12 @@ class SimCluster:
                     and chaos_rng.random() < self.chaos.crash_rate
                     and self._active_session.get(donor_id) == session_index
                 ):
-                    # Hard host crash: every lane dies with the machine.
-                    # This lane schedules the whole-machine respawn; the
-                    # currency check above stops sibling lanes.
+                    # Hard host crash: no deregistration (the leases
+                    # must expire on their own), and every lane dies
+                    # with the machine — this lane schedules the
+                    # whole-machine respawn as a fresh session after the
+                    # downtime; the currency check above stops sibling
+                    # lanes.
                     self._chaos_sessions += 1
                     self.sim.spawn(
                         self._spawn_session(
@@ -925,4 +766,5 @@ class SimCluster:
                     self._active_session.pop(donor_id, None)
                     return
         finally:
-            done_event.fire()
+            if done_event is not None:
+                done_event.fire()

@@ -305,7 +305,10 @@ class DonorClient:
     prefetch:
         Enable the pipelined runtime: while unit N computes, a
         background thread requests unit N+1 and warms its algorithm and
-        shared blobs, so compute never waits on the wire.  Requires a
+        shared blobs, so compute never waits on the wire.  Serial and
+        prefetching donors run one loop; without ``prefetch`` it simply
+        never fills its prefetch slot, and with it the unit that reaches
+        ``run(max_units=...)`` prefetches nothing.  Requires a
         thread-safe port (the RMI proxy and the cluster's locked
         in-process port both are) and a server with
         ``PipelineConfig.lease_depth >= 2``.
@@ -587,10 +590,8 @@ class DonorClient:
         try:
             if pooled:
                 self._run_pooled(max_units, should_stop)
-            elif self.prefetch:
-                self._run_pipelined(max_units, should_stop)
             else:
-                self._run_serial(max_units, should_stop)
+                self._run_inline(max_units, should_stop)
         finally:
             if self._pool_owned and self._pool is not None:
                 self._pool.shutdown()
@@ -604,31 +605,13 @@ class DonorClient:
                 pass
         return self.units_done
 
-    def _run_serial(
+    def _run_inline(
         self,
         max_units: int | None,
         should_stop: Callable[[], bool] | None,
     ) -> None:
-        while True:
-            if should_stop is not None and should_stop():
-                break
-            if max_units is not None and self.units_done >= max_units:
-                break
-            worked = self.step()
-            if worked:
-                self._idle_attempt = 0
-            else:
-                if self.port.all_complete():
-                    break
-                self._idle_wait()
-
-    def _run_pipelined(
-        self,
-        max_units: int | None,
-        should_stop: Callable[[], bool] | None,
-    ) -> None:
-        """Double-buffered donor loop: compute unit N while unit N+1
-        downloads.
+        """The donor loop for units computed in this process, double-
+        buffered when ``prefetch`` is on (and serial when it is off).
 
         One prefetch slot (not a queue): depth 2 is what hides the
         wire, and a deeper hoard would just strand leases on this donor
@@ -644,7 +627,8 @@ class DonorClient:
             if slot is None:
                 # Cold start (or post-idle): nothing in flight, pay the
                 # round-trip in the open.
-                self._meter("farm.pipeline.prefetch.misses", 1)
+                if self.prefetch:
+                    self._meter("farm.pipeline.prefetch.misses", 1)
                 assignment = self.port.request_work(self.donor_id)
             else:
                 box, done = slot
@@ -665,7 +649,11 @@ class DonorClient:
                 self._idle_wait()
                 continue
             self._idle_attempt = 0
-            slot = self._spawn_prefetch()
+            # A lease past max_units would only be requeued on exit.
+            if self.prefetch and (
+                max_units is None or self.units_done + 1 < max_units
+            ):
+                slot = self._spawn_prefetch()
             self._compute_and_submit(assignment)
 
     # ------------------------------------------------------------------

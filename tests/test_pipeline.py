@@ -13,10 +13,13 @@ taper, and the donor-side idle backoff.
 """
 
 import random
+import threading
+import time
 
 import pytest
 
 from repro.cluster.local import ThreadCluster
+from repro.cluster.local.cluster import _LockedPort
 from repro.cluster.sim import FaultPlan, SimCluster, heterogeneous_pool
 from repro.core.client import DonorClient, run_to_completion
 from repro.core.integrity import canonical_digest
@@ -28,7 +31,12 @@ from repro.core.scheduler import (
 )
 from repro.core.server import PipelineConfig, ProblemStatus, TaskFarmServer
 from repro.core.workunit import WorkResult
-from tests.helpers import ManualClock, RangeSumAlgorithm, RangeSumDataManager
+from tests.helpers import (
+    ManualClock,
+    RangeSumAlgorithm,
+    RangeSumDataManager,
+    SlowRangeSumAlgorithm,
+)
 from tests.test_data_cache import DIFF_SEEDS, dprml_problem, dsearch_problem
 
 #: The standard pipelined runtime under test everywhere below.
@@ -140,6 +148,28 @@ class TestInProcessDifferential:
             counters.get("farm.pipeline.prefetch.hits", 0)
             + counters.get("farm.pipeline.prefetch.misses", 0)
         ) > 0
+
+
+class TestMaxUnits:
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_donor_leases_no_unit_past_its_cap(self, prefetch):
+        """``run(max_units=3)`` leases exactly three units: the last one
+        spawns no prefetch, so no lease is stranded for deregistration
+        to requeue.  (Each unit computes for 20 ms, so a prefetch
+        spawned beside it would certainly reach the server.)"""
+        server = TaskFarmServer(
+            policy=FixedGranularity(1), lease_timeout=60.0, pipeline=PIPELINE
+        )
+        server.submit(
+            Problem("sum", RangeSumDataManager(10), SlowRangeSumAlgorithm(0.02)),
+            now=time.monotonic(),
+        )
+        port = _LockedPort(server, threading.RLock())
+        client = DonorClient("d0", port, prefetch=prefetch)
+        assert client.run(max_units=3) == 3
+        counters = server.obs.meters.snapshot()["counters"]
+        assert counters["farm.units.issued"] == 3
+        assert counters.get("farm.units.requeued", 0) == 0
 
 
 # ---------------------------------------------------------------------------

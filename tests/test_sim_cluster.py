@@ -1,6 +1,7 @@
 """Tests for machine models, the network model, trace workloads and the
 simulated cluster end to end."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,9 +24,12 @@ from repro.cluster.sim.trace import (
     WorkloadTrace,
     trace_problem,
 )
+from repro.core.integrity import canonical_digest
 from repro.core.problem import Problem
 from repro.core.scheduler import AdaptiveGranularity, FixedGranularity
+from repro.core.server import PipelineConfig
 from tests.helpers import RangeSumAlgorithm, RangeSumDataManager
+from tests.test_data_cache import DIFF_SEEDS, dsearch_problem
 
 
 class TestMachineSpec:
@@ -311,3 +315,91 @@ class TestSimCluster:
         report = cluster.run(until=50.0)
         assert not report.completed
         assert report.makespans == {}
+
+
+# ---------------------------------------------------------------------------
+# One donor loop, three modes: serial, pipelined and multi-core sessions
+# all run the same lane loop, so their schedules are pinned here.
+
+
+def _mode_machines(machines, mode):
+    if mode == "cores2":
+        return [dataclasses.replace(m, cores=2) for m in machines]
+    return machines
+
+
+def _mode_pipeline(mode):
+    return PipelineConfig.pipelined() if mode == "pipelined" else None
+
+
+MODES = ["serial", "pipelined", "cores2"]
+
+
+class TestLaneLoop:
+    #: Exact makespans of the fleet below, per donor mode.  Any change to
+    #: the donor loop that moves an event, draws a random number in a
+    #: different order or adds a round trip shows up here.
+    GOLDEN_MAKESPANS = {
+        "serial": 666.885907019922,
+        "pipelined": 772.7049166919413,
+        "cores2": 397.72165121476394,
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_golden_makespans(self, mode):
+        costs = np.random.default_rng(11).uniform(5.0, 50.0, size=200)
+        cluster = SimCluster(
+            _mode_machines(heterogeneous_pool(20, seed=11), mode),
+            policy=FixedGranularity(2),
+            lease_timeout=3600.0,
+            idle_poll=30.0,
+            execute=False,
+            seed=11,
+            pipeline=_mode_pipeline(mode),
+        )
+        pid = cluster.submit(
+            trace_problem(
+                WorkloadTrace.single_stage(
+                    [float(c) for c in costs], bytes_per_item=2000
+                )
+            )
+        )
+        report = cluster.run()
+        assert report.completed
+        assert report.makespans[pid] == self.GOLDEN_MAKESPANS[mode]
+
+    @pytest.mark.parametrize("seed", DIFF_SEEDS)
+    def test_churned_sessions_fold_every_item_in_every_mode(self, seed):
+        """Machines that leave mid-unit and come back: every mode folds
+        every item once and assembles the serial run's exact answer."""
+        digests = {}
+        for mode in MODES:
+            machines = with_churn(
+                heterogeneous_pool(5, seed=2),
+                horizon=400_000.0,
+                mean_uptime=15_000.0,
+                mean_downtime=5_000.0,
+                seed=seed,
+            )
+            cluster = SimCluster(
+                _mode_machines(machines, mode),
+                policy=FixedGranularity(3),
+                lease_timeout=120.0,
+                seed=5,
+                pipeline=_mode_pipeline(mode),
+            )
+            problem = dsearch_problem(seed, share=False)
+            pid = cluster.submit(problem)
+            report = cluster.run()
+            assert report.completed
+            counters = cluster.obs.meters.snapshot()["counters"]
+            # Sessions really ended mid-unit, and nothing folded twice.
+            assert counters["farm.units.requeued"] > 0
+            assert counters["farm.items.completed"] == problem.data_manager.total_items()
+            # No machine is leased work while its owner has it back.
+            specs = {m.machine_id: m for m in machines}
+            for event in report.log.of_kind("unit.issued"):
+                assert specs[event.data["donor_id"]].present_at(event.time)
+            digests[mode] = canonical_digest(report.results[pid])
+        assert digests["pipelined"] == digests["serial"]
+        assert digests["cores2"] == digests["serial"]
