@@ -6,8 +6,10 @@ sequences, where the scalar kernel's per-row NumPy dispatch overhead
 dominates the actual arithmetic.  This benchmark measures both engines
 on representative length distributions, asserts the scores agree
 exactly, writes ``BENCH_batch_kernels.json`` for trend tracking, and
-**fails if the batched engine is not faster than the scalar one** on
-the many-short reference workload — the regression gate CI runs.
+**fails unless the batched engine is at least** ``MIN_SPEEDUP`` **times
+faster than the scalar one** on the many-short reference workload — the
+regression gate CI runs.  Both engines are timed in the same run, so the
+ratio does not move with the runner's speed.
 """
 
 import json
@@ -38,6 +40,11 @@ WORKLOADS = [
 ]
 
 REFERENCE = "many-short dna/sw"
+
+#: The gate on the reference workload's batched/scalar speedup.  The
+#: subject-contiguous float32 sweep reads 15-17x; the float64 sweep with
+#: a sequential max-accumulate it replaced read about 5x.
+MIN_SPEEDUP = 8.0
 
 
 def _measure(name, n_subjects, query_len, mode, alphabet, sampler):
@@ -117,8 +124,8 @@ def test_batched_kernels_beat_scalar():
     )
 
     # The gate: on the many-short reference workload the batched engine
-    # must actually be faster — anything else is a regression.
-    assert reference["speedup"] > 1.0, (
-        f"batched engine slower than scalar on {REFERENCE}: "
-        f"{reference['speedup']:.2f}x"
+    # must keep its margin over the scalar one.
+    assert reference["speedup"] >= MIN_SPEEDUP, (
+        f"batched engine only {reference['speedup']:.2f}x faster than "
+        f"scalar on {REFERENCE} (gate {MIN_SPEEDUP:.0f}x)"
     )

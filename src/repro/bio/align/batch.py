@@ -5,22 +5,39 @@ each DP row across the subject's columns, but for the short-to-mid
 length sequences a real FASTA database is full of, a row is only a few
 hundred elements and Python/NumPy dispatch overhead dominates.  This
 module applies the inter-sequence SIMD idea used by striped aligners:
-pack many subjects into a length-bucketed, padded ``(n_subjects,
-width)`` tensor and sweep the Gotoh recurrence **across the whole
-bucket at once**, so each NumPy row operation scores hundreds of
-subjects instead of one.
+pack many subjects into a length-bucketed, padded tensor and sweep the
+Gotoh recurrence **across the whole bucket at once**, so each NumPy row
+operation scores hundreds of subjects instead of one.
 
-Correctness of padding
+The sweep
+    The DP state is ``(variants, width + 1, n_subjects)``: subjects on
+    the last axis, so shifting by one column shifts by ``n_subjects``
+    elements and every ``[1:]`` / ``[:-1]`` column slice is one
+    contiguous block rather than a strided view.  :class:`SubjectBucket`
+    stores the codes as ``(width, n_subjects)`` once per work unit, and
+    substitution sheets are ``matrix[:, codes]``, read per row as a
+    view.  The lazy-E prefix max runs as ``ceil(log2 width)``
+    Hillis–Steele passes (``max(src[s:], src[:-s])`` ping-ponged
+    between two buffers) instead of ``np.maximum.accumulate``, which
+    walks the axis one element at a time.  The sweep runs in float32
+    when :func:`sweep_dtype` finds that exact, float64 otherwise.
+
+Correctness of padding and precision
     Affine-gap DP information flows strictly left-to-right within a
     row (the lazy-E prefix scan) and top-to-bottom between rows, so a
     cell ``(i, j)`` never reads a column ``> j``.  Padding columns sit
     to the *right* of every subject's last real column and therefore
     cannot influence real scores: global scores are gathered at each
-    subject's own final column, and local row-maxima are taken under a
-    per-subject validity mask.  Because the batched sweep performs the
-    same primitive operations in the same order as the scalar kernel on
-    the shared column prefix, batched scores are bit-identical to
-    scalar scores, not merely close.
+    subject's own final column, and local maxima are taken under a
+    per-subject validity mask.  Every cell goes through the same
+    primitive operations in the same order as in the scalar kernel on
+    the shared column prefix, except the prefix max, where ``max`` is
+    exact so any pass order gives the same bits.  In float32 every
+    value the DP reaches is an integer below ``2**24``, which float32
+    holds exactly, and ``NEG`` still absorbs whatever is added to it
+    and loses every comparison; float32 therefore rounds nowhere
+    float64 would not.  Batched scores, returned as float64, are
+    bit-identical to scalar scores, not merely close.
 
 Bucketing
     Subjects are sorted by length and grouped greedily so that padding
@@ -56,8 +73,11 @@ from repro.bio.seq.sequence import Sequence
 DEFAULT_WASTE_CAP = 0.25
 
 #: Maximum subjects per bucket (bounds the working set: state arrays are
-#: ``O(n_subjects × width)`` float64).
+#: ``O(n_subjects × width)`` floats).
 DEFAULT_MAX_BUCKET = 256
+
+#: Integers below this magnitude are exact in float32 (24-bit significand).
+FLOAT32_EXACT = 2**24
 
 #: Buckets below this size gain nothing from batching.
 MIN_BATCH_SUBJECTS = 2
@@ -169,8 +189,9 @@ def use_batched(plan: BucketPlan, m: int, algorithm: str, band: int) -> bool:
 class SubjectBucket:
     """A materialised bucket: padded int-encoded subject tensor.
 
-    Built once per work unit and shared across every query (and strand
-    variant) scored against the slice.
+    ``codes`` is ``(width, n_subjects)``: subject-contiguous, the layout
+    the sweep keeps its DP state in, so building it here once per work
+    unit means no query or strand variant ever transposes.
     """
 
     __slots__ = ("plan", "codes", "lengths", "alphabet")
@@ -186,10 +207,32 @@ class SubjectBucket:
         self.plan = plan
         self.alphabet = alphabet
         self.lengths = np.asarray(plan.lengths, dtype=np.intp)
-        codes = np.zeros((plan.size, plan.width), dtype=np.intp)
-        for row, seq in enumerate(members):
-            codes[row, : len(seq)] = seq.icodes
+        codes = np.zeros((plan.width, plan.size), dtype=np.intp)
+        for col, seq in enumerate(members):
+            codes[: len(seq), col] = seq.icodes
         self.codes = codes
+
+
+def sweep_dtype(scheme: ScoringScheme, m: int, width: int) -> np.dtype:
+    """The float type the batched sweep can use without changing a bit.
+
+    float32 when every matrix entry and both gap penalties are integers
+    and the largest magnitude the DP can reach, bounded by
+    ``(m + 2·(width + 1)) · (max|S| + |open| + |extend|)``, stays below
+    ``2**24``: every value is then an integer float32 holds exactly, so
+    it rounds nowhere float64 would not.  float64 otherwise.
+    """
+    matrix = scheme.matrix
+    go, ge = scheme.gap_open, scheme.gap_extend
+    integral = (
+        np.array_equal(matrix, np.round(matrix))
+        and float(go).is_integer()
+        and float(ge).is_integer()
+    )
+    step = float(np.abs(matrix).max()) + abs(go) + abs(ge)
+    if integral and (m + 2 * (width + 1)) * step < FLOAT32_EXACT:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 def batched_scores(
@@ -203,10 +246,10 @@ def batched_scores(
 
     *variants* are equal-length query rows sharing the DP sweep (the
     query and its reverse complement for a both-strands search).
-    Returns a ``(n_variants, n_subjects)`` score array, bit-identical to
-    the scalar kernels.  With *band* set (global only), each subject's
-    band is auto-widened to ``|m − len|`` exactly as the scalar path
-    does.
+    Returns a float64 ``(n_variants, n_subjects)`` score array,
+    bit-identical to the scalar kernels.  With *band* set (global
+    only), each subject's band is auto-widened to ``|m − len|`` exactly
+    as the scalar path does.
     """
     if not variants:
         raise ValueError("need at least one query variant")
@@ -229,78 +272,92 @@ def batched_scores(
     if band is not None and local:
         raise ValueError("banded batching applies to global alignment only")
 
-    codes = bucket.codes  # (n, W) intp
+    codes = bucket.codes  # (W, n) intp
     lengths = bucket.lengths  # (n,)
-    n, width = codes.shape
+    width, n = codes.shape
     nvar = len(variants)
+    dtype = sweep_dtype(scheme, m, width)
     go, ge = scheme.gap_open, scheme.gap_extend
     qcodes = np.stack([v.icodes for v in variants])  # (V, m)
+    # The DP state is (variants, columns, subjects): a shift by k
+    # columns is a shift by k·n elements, so every shifted-column slice
+    # below is one contiguous block per variant.
     jidx = np.arange(width + 1, dtype=np.float64)
     ge_jidx = ge * jidx
-    e_base = go + ge_jidx[1:]
+    e_base = (go + ge_jidx[1:]).astype(dtype)[:, None]
+    c_off = ge_jidx[:width].astype(dtype)[:, None]
 
-    # Per-bucket substitution precompute: scores_by_code[c] is the (n, W)
-    # score sheet for query residue code c, so each row's substitution
-    # term is one row-gather instead of an elementwise matrix lookup.
-    # Skipped for huge buckets (long-subject buckets) to bound memory.
-    matrix = scheme.matrix
+    # Per-bucket substitution sheets: sheets[c] is the (W, n) score
+    # sheet for query residue code c, so each row's substitution term
+    # is read straight from a view.  Gathered per row instead for huge
+    # (long-subject) buckets, to bound memory.
+    matrix = scheme.matrix.astype(dtype)
     n_codes = matrix.shape[0]
     if n_codes * n * width <= 40_000_000:
-        scores_by_code = np.ascontiguousarray(matrix[:, codes])  # (A+1, n, W)
+        sheets = matrix[:, codes]  # (A+1, W, n)
     else:
-        scores_by_code = None
+        sheets = None
 
     if band is not None:
         band_j = np.maximum(band, np.abs(m - lengths))  # (n,)
-        col = np.arange(width + 1)
+        col = np.arange(width + 1)[:, None]
 
-    shape = (nvar, n, width + 1)
+    shape = (nvar, width + 1, n)
     if local:
-        H = np.zeros(shape)
+        H = np.zeros(shape, dtype)
         # Running cell-wise max over all rows; the best local score is
         # its maximum over each subject's *valid* columns at the end
         # (max is exactly associative, so this equals the scalar
         # row-by-row tracking bit for bit).
-        maxH = np.zeros(shape)
+        maxH = np.zeros(shape, dtype)
     else:
-        H = np.broadcast_to(go + ge_jidx, shape).copy()
-        H[..., 0] = 0.0
-    F = np.full(shape, NEG)
+        H = np.empty(shape, dtype)
+        H[:] = (go + ge_jidx)[:, None]
+        H[:, 0] = 0.0
+    F = np.full(shape, NEG, dtype)
     if band is not None:
         _mask_band_rows(H, 0, band_j, col)
 
-    # Ping-pong row buffers; every per-row temporary is preallocated so
-    # the sweep allocates nothing inside the loop.
-    Hn = np.empty(shape)
-    tmp = np.empty(shape)
-    sub = np.empty((nvar, n, width))
-    c = np.empty(shape)
+    # Ping-pong row and scan buffers; every per-row temporary is
+    # preallocated so the sweep allocates nothing inside the loop.
+    Hn = np.empty(shape, dtype)
+    tmp = np.empty(shape, dtype)
+    scan = np.empty((nvar, width, n), dtype)
+    scan_alt = np.empty((nvar, width, n), dtype)
     for i in range(1, m + 1):
         # Same primitive ops, same order, as the scalar gotoh_rows —
-        # just with a (variants, subjects) batch on the leading axes.
+        # just with a (variants, subjects) batch around the columns.
         np.add(H, go, out=tmp)
         np.maximum(F, tmp, out=F)
         F += ge
-        q_i = qcodes[:, i - 1]
-        if scores_by_code is not None:
-            np.take(scores_by_code, q_i, axis=0, out=sub)
-        else:
-            sub[:] = matrix[q_i][:, codes]
-        Hn[..., 0] = 0.0 if local else go + ge * i
-        Htmp = Hn[..., 1:]
-        np.add(H[..., :-1], sub, out=Htmp)
-        np.maximum(Htmp, F[..., 1:], out=Htmp)
+        Hn[:, 0] = 0.0 if local else go + ge * i
+        Htmp = Hn[:, 1:]
+        for v in range(nvar):
+            q = qcodes[v, i - 1]
+            sub = sheets[q] if sheets is not None else matrix[q][codes]
+            np.add(H[v, :-1], sub, out=Htmp[v])
+        np.maximum(Htmp, F[:, 1:], out=Htmp)
         if local:
             np.maximum(Htmp, 0.0, out=Htmp)
-        # Exact within-row E via the prefix max-scan (lazy-E), swept
-        # over the whole bucket at once.
-        np.subtract(Hn, ge_jidx, out=c)
-        np.maximum.accumulate(c, axis=-1, out=c)
-        E = tmp[..., 1:]
-        np.add(e_base, c[..., :-1], out=E)
-        np.maximum(Hn[..., 1:], E, out=Hn[..., 1:])
-        if local:
-            np.maximum(Hn[..., 1:], 0.0, out=Hn[..., 1:])
+        # Exact within-row E via the prefix max-scan (lazy-E), as
+        # log-step Hillis–Steele passes: after the pass with step s,
+        # scan[j] is the max over c[j-2s+1 .. j].  Max is exact, so the
+        # pass order cannot change a bit.  Each pass writes [s:] from
+        # the other buffer; [:s//2] of the target already holds final
+        # values from two passes back, so only [s//2:s] is copied.
+        src, dst = scan, scan_alt
+        np.subtract(Hn[:, :width], c_off, out=src)
+        s = 1
+        while s < width:
+            dst[:, s // 2 : s] = src[:, s // 2 : s]
+            np.maximum(src[:, s:], src[:, :-s], out=dst[:, s:])
+            src, dst = dst, src
+            s *= 2
+        E = tmp[:, 1:]
+        np.add(e_base, src, out=E)
+        # A local H' is already >= 0, so unlike the scalar kernel no
+        # second clamp is needed after folding in E.
+        np.maximum(Htmp, E, out=Htmp)
         if band is not None:
             _mask_band_rows(Hn, i, band_j, col)
         H, Hn = Hn, H
@@ -309,17 +366,17 @@ def batched_scores(
 
     if local:
         # Columns beyond a subject's own length must not win its max.
-        maxH += np.where(jidx[None, :] <= lengths[:, None], 0.0, NEG)
-        return maxH.max(axis=-1)
-    # Each subject's global score sits at its own final column.
-    return H[np.arange(nvar)[:, None], np.arange(n)[None, :], lengths[None, :]]
+        valid = jidx[:, None] <= lengths[None, :]  # (W+1, n)
+        best = np.where(valid, maxH, NEG).max(axis=1)
+    else:
+        # Each subject's global score sits at its own final column.
+        best = H[:, lengths, np.arange(n)]
+    return best.astype(np.float64)
 
 
 def _mask_band_rows(
     H: np.ndarray, i: int, band_j: np.ndarray, col: np.ndarray
 ) -> None:
     """Apply the per-subject band mask to one DP row (in place)."""
-    outside = (col[None, :] < i - band_j[:, None]) | (
-        col[None, :] > i + band_j[:, None]
-    )
-    H[:, outside] = NEG
+    outside = (col < i - band_j) | (col > i + band_j)  # (W+1, n)
+    np.copyto(H, NEG, where=outside)

@@ -14,16 +14,18 @@ from repro.apps.dsearch import DSearchAlgorithm, DSearchConfig, build_problem
 from repro.apps.dsearch.translated import build_translated_problem
 from repro.bio.align.banded import banded_global_score
 from repro.bio.align.batch import (
+    FLOAT32_EXACT,
     BucketPlan,
     SubjectBucket,
     banded_model_cells,
     batched_scores,
     plan_buckets,
+    sweep_dtype,
     use_batched,
 )
 from repro.bio.align.hits import Hit, TopK
 from repro.bio.align.nw import needleman_wunsch_score
-from repro.bio.align.scoring import blosum62, dna_scheme
+from repro.bio.align.scoring import blosum62, dna_scheme, pam250
 from repro.bio.align.sw import smith_waterman_score
 from repro.bio.seq import DNA, PROTEIN
 from repro.bio.seq.generate import random_sequence, seeded_database
@@ -86,6 +88,40 @@ class TestBatchedExactness:
             for si, subject in enumerate(subjects):
                 assert got[vi, si] == _scalar(variant, subject, scheme, mode, band)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=10),
+        mode=st.sampled_from(["sw", "nw", "banded"]),
+        protein=st.booleans(),
+        both=st.booleans(),
+        band=st.integers(0, 8),
+    )
+    def test_matches_scalar_non_integer_scheme(
+        self, seed, m, lengths, mode, protein, both, band
+    ):
+        """Fractional scores take the float64 sweep, still bit-exact."""
+        alphabet = PROTEIN if protein else DNA
+        if protein:
+            scheme = blosum62(gap_open=-10.5, gap_extend=-0.35)
+        else:
+            scheme = dna_scheme(
+                match=2.5, mismatch=-1.75, gap_open=-3.3, gap_extend=-0.7
+            )
+        both = both and not protein
+        query, subjects = _make_seqs(seed, m, lengths, alphabet)
+        variants = [query] + ([query.reverse_complement()] if both else [])
+        bucket = SubjectBucket(_full_plan(lengths), subjects)
+        assert sweep_dtype(scheme, m, max(lengths)) == np.float64
+        band_arg = band if mode == "banded" else None
+        got = batched_scores(
+            variants, bucket, scheme, local=(mode == "sw"), band=band_arg
+        )
+        for vi, variant in enumerate(variants):
+            for si, subject in enumerate(subjects):
+                assert got[vi, si] == _scalar(variant, subject, scheme, mode, band)
+
     def test_single_subject_and_uniform_lengths(self):
         scheme = dna_scheme()
         query, subjects = _make_seqs(5, 24, [17], DNA)
@@ -120,6 +156,54 @@ class TestBatchedExactness:
             SubjectBucket(BucketPlan((0,), (0,), 0), [empty])
         with pytest.raises(ValueError, match="alphabet"):
             SubjectBucket(_full_plan([10, 12]), [subjects[0], protein_query])
+
+
+class TestSweepDtype:
+    """float32 only where every value the DP reaches is exact in it."""
+
+    def test_builtin_schemes_sweep_in_float32(self):
+        for scheme in (dna_scheme(), blosum62(), pam250()):
+            assert sweep_dtype(scheme, 300, 1000) == np.float32
+
+    def test_fractional_scheme_sweeps_in_float64(self):
+        assert sweep_dtype(dna_scheme(match=2.5), 10, 10) == np.float64
+        assert sweep_dtype(dna_scheme(gap_extend=-0.5), 10, 10) == np.float64
+
+    def test_bound_at_two_to_the_24(self):
+        scheme = dna_scheme()  # max|S| + |open| + |extend| = 5 + 10 + 1
+        width = 100
+        limit = FLOAT32_EXACT // 16 - 2 * (width + 1)
+        assert sweep_dtype(scheme, limit - 1, width) == np.float32
+        assert sweep_dtype(scheme, limit, width) == np.float64
+
+    @pytest.mark.parametrize("mode", ["sw", "nw"])
+    def test_long_query_crosses_the_bound_exactly(self, mode):
+        # Scores of 2**15 put a 20-residue query under the bound and a
+        # 200-residue one over it; both sides must equal the scalar
+        # kernels.
+        big = float(2**15)
+        scheme = dna_scheme(
+            match=big, mismatch=-big + 3, gap_open=-big + 1, gap_extend=-7.0
+        )
+        lengths = [30, 24, 18]
+        for m, dtype in ((20, np.float32), (200, np.float64)):
+            query, subjects = _make_seqs(m, m, lengths, DNA)
+            assert sweep_dtype(scheme, m, max(lengths)) == dtype
+            bucket = SubjectBucket(_full_plan(lengths), subjects)
+            got = batched_scores([query], bucket, scheme, local=(mode == "sw"))
+            for si, subject in enumerate(subjects):
+                assert got[0, si] == _scalar(query, subject, scheme, mode, None)
+
+    def test_scores_float32_cannot_hold_stay_exact(self):
+        # 2**25 + 1 has no float32 representation: a float32 sweep would
+        # round every match score.
+        scheme = dna_scheme(match=float(2**25 + 1))
+        query, subjects = _make_seqs(3, 12, [12, 9], DNA)
+        assert sweep_dtype(scheme, 12, 12) == np.float64
+        bucket = SubjectBucket(_full_plan([12, 9]), subjects)
+        got = batched_scores([query], bucket, scheme, local=True)
+        for si, subject in enumerate(subjects):
+            assert got[0, si] == smith_waterman_score(query, subject, scheme)
 
 
 class TestPlanBuckets:
@@ -307,6 +391,35 @@ class TestSearchEquivalence:
             run_to_completion(server, donors=2)
             reports[batch] = server.final_result(pid)
         assert reports[True].hits == reports[False].hits
+
+
+class TestNoSilentFallback:
+    """compute() reruns a query through the scalar kernels when the
+    batched path raises, so a broken kernel would still pass every
+    exactness check, only slower.  On a realistic slice it must not."""
+
+    def test_perfbench_shaped_slice_stays_batched(self):
+        rng = np.random.default_rng(41)
+        query = random_sequence("query0", 300, DNA, rng)
+        # Skewed lengths around the query's, plus one long outlier that
+        # the waste cap leaves in a bucket of its own.
+        lengths = np.clip(rng.gamma(6.0, 50.0, size=299), 40, 900).astype(int)
+        lengths = [int(x) for x in lengths] + [2400]
+        subjects = [
+            random_sequence(f"s{i:03d}", length, DNA, rng)
+            for i, length in enumerate(lengths)
+        ]
+        plans = plan_buckets(lengths)
+        assert [p.lengths for p in plans if p.size == 1] == [(2400,)]
+        payload = ([query], subjects)
+        batched = DSearchAlgorithm(DSearchConfig(top_hits=10))
+        with unitstats.collect() as stats:
+            got = batched.compute(payload)
+        assert "farm.align.batch.fallbacks" not in stats
+        assert stats["farm.align.buckets.batched"] == len(plans) - 1
+        assert stats["farm.align.pairs.scalar"] == 1.0
+        scalar = DSearchAlgorithm(DSearchConfig(top_hits=10, batch=False))
+        assert got == scalar.compute(payload)
 
 
 class TestMeterPlumbing:
